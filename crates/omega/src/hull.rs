@@ -4,6 +4,7 @@
 use crate::conjunct::{Conjunct, Row};
 use crate::linexpr::ConstraintKind;
 use crate::num;
+use crate::sat::Probe;
 use crate::set::Set;
 
 /// Computes an approximate hull: a single conjunct containing every point of
@@ -54,50 +55,43 @@ pub(crate) fn hull(s: &Set) -> Conjunct {
     candidates.sort();
     candidates.dedup();
 
-    // One scratch system per live conjunct, with a reserved trailing slot
-    // for the negated candidate: each implication test is then a single
-    // row overwrite plus a satisfiability query instead of a conjunct
-    // clone per (conjunct, candidate) pair.
-    let tests: Vec<(Vec<Row>, usize)> = live
+    // One probe per live conjunct: each implication test adds the negated
+    // candidate to it and asks for unsatisfiability.
+    let probes: Vec<Probe> = live
         .iter()
-        .map(|c| {
-            let n_vars = c.ncols() - 1;
-            let mut sys = c.rows().to_vec();
-            sys.push(Row::new(ConstraintKind::Geq, vec![0; 1 + n_vars]));
-            (sys, n_vars)
-        })
+        .map(|c| Probe::new(c.rows().to_vec(), c.ncols() - 1))
         .collect();
-    // Candidate tests are independent of each other (each only overwrites
-    // its scratch slot), so with an intra-query thread budget they fan out
-    // in fixed-size chunks — chunk boundaries don't depend on the budget,
-    // and the flag vector is joined in candidate order, so the hull is
-    // byte-identical at every thread count. Each worker clones the scratch
-    // systems once per chunk; sequential runs keep the zero-clone loop.
-    // Traced runs also keep it: the chunk decision reads the intra budget,
-    // which CodeGen derives from its thread count, so letting it shape the
-    // recorded spans would break trace-shape thread-count invariance
-    // (map_ordered would run the chunks sequentially under a trace anyway).
+    // Candidate tests are independent of each other (queries only read the
+    // probes), so with an intra-query thread budget they fan out in
+    // fixed-size chunks — chunk boundaries don't depend on the budget, and
+    // the flag vector is joined in candidate order, so the hull is
+    // byte-identical at every thread count. The workers share the probes
+    // and keep a scratch buffer each.
+    // Traced runs stay sequential: the chunk decision reads the intra
+    // budget, which CodeGen derives from its thread count, so letting it
+    // shape the recorded spans would break trace-shape thread-count
+    // invariance (map_ordered would run the chunks sequentially under a
+    // trace anyway).
     let implied: Vec<bool> = if crate::par::intra_threads() > 1
         && candidates.len() > 1
         && crate::trace::current().is_none()
     {
         const CHUNK: usize = 8;
-        let chunks: Vec<Vec<Vec<i64>>> = candidates.chunks(CHUNK).map(<[_]>::to_vec).collect();
-        crate::par::map_ordered(chunks, |chunk| {
-            let mut scratch = tests.clone();
+        crate::par::map_ordered(candidates.chunks(CHUNK).collect(), |chunk| {
+            let mut scratch = Vec::new();
             chunk
                 .iter()
-                .map(|cand| implied_by_all(&mut scratch, cand))
+                .map(|cand| implied_by_all(&probes, cand, &mut scratch))
                 .collect::<Vec<bool>>()
         })
         .into_iter()
         .flatten()
         .collect()
     } else {
-        let mut scratch = tests;
+        let mut scratch = Vec::new();
         candidates
             .iter()
-            .map(|cand| implied_by_all(&mut scratch, cand))
+            .map(|cand| implied_by_all(&probes, cand, &mut scratch))
             .collect()
     };
     let mut out = Conjunct::universe(&space);
@@ -123,19 +117,15 @@ pub(crate) fn hull(s: &Set) -> Conjunct {
     out
 }
 
-/// Is the candidate inequality implied by every scratch system? (Each test
-/// overwrites the reserved trailing slot with the negated candidate and
-/// asks for unsatisfiability.) An unnegatable candidate (i64-extremal
-/// coefficients) is dropped: the hull only shrinks toward the bounding
-/// box, which is sound.
-fn implied_by_all(tests: &mut [(Vec<Row>, usize)], cand: &[i64]) -> bool {
+/// Is the candidate inequality implied by every probe's system? An
+/// unnegatable candidate (i64-extremal coefficients) is dropped: the hull
+/// only shrinks toward the bounding box, which is sound.
+fn implied_by_all(probes: &[Probe], cand: &[i64], scratch: &mut Vec<Row>) -> bool {
     crate::sat::negate_geq(cand).is_some_and(|neg| {
-        tests.iter_mut().all(|(sys, n_vars)| {
-            let slot = sys.len() - 1;
+        probes.iter().all(|p| {
             let mut neg = neg.clone();
-            neg.resize(1 + *n_vars, 0);
-            sys[slot] = Row::new(ConstraintKind::Geq, neg);
-            !crate::sat::rows_satisfiable(sys, *n_vars)
+            neg.resize(p.width(), 0);
+            !p.satisfiable(None, &Row::new(ConstraintKind::Geq, neg), scratch)
         })
     })
 }

@@ -7,6 +7,7 @@
 //! `[const, x1, .., xn]` with every `xi` existentially quantified.
 
 use crate::cache;
+use crate::coeffs::Coeffs;
 use crate::conjunct::Row;
 use crate::faults;
 use crate::limits::{self, Limits, OmegaError};
@@ -14,6 +15,7 @@ use crate::linexpr::ConstraintKind;
 use crate::num;
 use crate::stats::bump;
 use crate::tier::{self, Verdict};
+use std::sync::OnceLock;
 
 /// Exact test: does an integer assignment to the `n_vars` variable columns
 /// satisfy all rows?
@@ -44,57 +46,31 @@ pub(crate) fn rows_satisfiable(rows: &[Row], n_vars: usize) -> bool {
     // rows without cloning anything. Only a cache miss (or an unnormalized
     // row) pays for building the canonical system.
     //
-    // The scan is fused: one walk over each row's coefficients checks for
-    // constant rows (gcd over the variable columns stays 0), verifies
-    // normality (gcd 1), and accumulates the cache fingerprint lanes — so
-    // the warm path touches every coefficient exactly once before the
-    // cache probe instead of three times (constant scan, gcd scan, hash).
-    let mut s1: u64 = 0;
-    let mut s2: u64 = 0x9e37_79b9_7f4a_7c15;
-    let mut n: u64 = 0;
-    let mut normal = true;
+    // The scan is fused: one walk over each row's coefficients ([`lane`])
+    // checks for constant rows, verifies normality, and yields the row's
+    // fingerprint terms — so the warm path touches every coefficient
+    // exactly once before the cache probe.
+    let mut fp = Fingerprint::EMPTY;
     for r in rows {
         debug_assert_eq!(r.c.len(), 1 + n_vars);
-        let mut h1: u64 = 0xcbf2_9ce4_8422_2325 ^ (r.kind as u64);
-        let mut h2: u64 = 0x517c_c1b7_2722_0a95 ^ (r.kind as u64).rotate_left(32);
-        let mut it = r.c.iter();
-        let &c0 = it.next().expect("row has a constant column");
-        h1 = (h1 ^ c0 as u64).wrapping_mul(0x100_0000_01b3);
-        h2 = (h2.rotate_left(29) ^ (c0 as u64).wrapping_mul(0xff51_afd7_ed55_8ccd))
-            .wrapping_mul(0xc4ce_b9fe_1a85_ec53);
-        let mut g = 0;
-        for &x in it {
-            if g != 1 {
-                g = num::gcd(g, x);
-            }
-            h1 = (h1 ^ x as u64).wrapping_mul(0x100_0000_01b3);
-            h2 = (h2.rotate_left(29) ^ (x as u64).wrapping_mul(0xff51_afd7_ed55_8ccd))
-                .wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        match lane(r) {
+            Lane::Term(t) => fp.add(t),
+            Lane::True => {} // decided here, excluded from the fingerprint
+            Lane::False => return false,
+            Lane::Unnormalized => return satisfiable_unnormalized(rows, n_vars),
         }
-        if g == 0 {
-            // All variable coefficients are zero: a constant row. Decided
-            // here and excluded from the fingerprint (matching `cache_key`).
-            if !r.constant_truth() {
-                return false;
-            }
-            continue;
-        }
-        if g != 1 {
-            normal = false;
-            break;
-        }
-        s1 = s1.wrapping_add(splitmix(h1));
-        s2 = s2.wrapping_add(splitmix(h2 ^ 0x94d0_49bb_1331_11eb));
-        n += 1;
     }
-    if normal {
-        if n == 0 {
-            return true; // every row was a (true) constant
-        }
-        let key = (splitmix(s1 ^ n), splitmix(s2.wrapping_add(n)));
-        debug_assert_eq!(key, cache_key(rows));
-        return satisfiable_with_key(rows, n_vars, key);
+    if fp.n == 0 {
+        return true; // every row was a (true) constant
     }
+    let key = fp.key();
+    debug_assert_eq!(key, cache_key(rows));
+    satisfiable_with_key(rows, n_vars, key)
+}
+
+/// Slow path for systems with a row not in normal form: normalize copies,
+/// then run the pipeline on them.
+fn satisfiable_unnormalized(rows: &[Row], n_vars: usize) -> bool {
     let mut work: Vec<Row> = Vec::with_capacity(rows.len());
     for r in rows {
         let mut r = r.clone();
@@ -121,10 +97,45 @@ fn satisfiable_normalized(rows: &[Row], n_vars: usize) -> bool {
     satisfiable_with_key(rows, n_vars, cache_key(rows))
 }
 
+/// [`decide`] on a borrowed system: tier 0 scans every pair, and a miss
+/// builds the canonical system from scratch.
+fn satisfiable_with_key(rows: &[Row], n_vars: usize, key: (u64, u64)) -> bool {
+    decide(
+        rows.len(),
+        n_vars,
+        key,
+        || tier::tier0(rows) == Verdict::Unsat,
+        |work| {
+            work.reserve(rows.len());
+            work.extend(rows.iter().filter(|r| !r.is_constant()).cloned());
+            work.sort_by(canonical_order);
+            work.dedup();
+        },
+        &mut Vec::new(),
+    )
+}
+
+/// The order of the canonical system tiers 1 and 2 run on.
+fn canonical_order(a: &Row, b: &Row) -> std::cmp::Ordering {
+    (a.kind as u8, &a.c).cmp(&(b.kind as u8, &b.c))
+}
+
 /// The tiered pipeline proper, entered with the system's fingerprint
 /// already in hand (computed during the caller's coefficient scan).
-fn satisfiable_with_key(rows: &[Row], n_vars: usize, key: (u64, u64)) -> bool {
-    let span = crate::span!(sat_query, rows = rows.len(), vars = n_vars);
+///
+/// The system itself is seen through two callbacks, so a borrowed slice
+/// and a [`Probe`] query share one pipeline: `tier0_unsat` runs tier 0 on
+/// the `n_rows`-row system, and `canonical` fills the (empty) `work` with
+/// its sorted, deduplicated non-constant rows.
+fn decide(
+    n_rows: usize,
+    n_vars: usize,
+    key: (u64, u64),
+    tier0_unsat: impl FnOnce() -> bool,
+    canonical: impl FnOnce(&mut Vec<Row>),
+    work: &mut Vec<Row>,
+) -> bool {
+    let span = crate::span!(sat_query, rows = n_rows, vars = n_vars);
     // The cache sits *before* tiers 0 and 1 and stores their verdicts too:
     // on the warm path (scanning re-asks the same queries constantly) a
     // repeat query costs one fingerprint + shard probe — cheaper than even
@@ -136,7 +147,7 @@ fn satisfiable_with_key(rows: &[Row], n_vars: usize, key: (u64, u64)) -> bool {
         return hit;
     }
     bump!(cache_misses);
-    if tier::tier0(rows) == Verdict::Unsat {
+    if tier0_unsat() {
         bump!(tier0_unsat);
         cache::SAT.insert(key, false);
         span.attr("tier", "tier0");
@@ -147,10 +158,9 @@ fn satisfiable_with_key(rows: &[Row], n_vars: usize, key: (u64, u64)) -> bool {
     // across thread counts requires the *solver input* to be a pure
     // function of the fingerprinted multiset — the solver's budget cutoff
     // is order-sensitive even though exact verdicts are not.
-    let mut work: Vec<Row> = rows.iter().filter(|r| !r.is_constant()).cloned().collect();
-    work.sort_by(|a, b| (a.kind as u8, &a.c).cmp(&(b.kind as u8, &b.c)));
-    work.dedup();
-    let result = match tier::tier1(&work, 1 + n_vars) {
+    work.clear();
+    canonical(work);
+    let result = match tier::tier1(work, 1 + n_vars) {
         Verdict::Unsat => {
             bump!(tier1_unsat);
             span.attr("tier", "tier1");
@@ -172,7 +182,7 @@ fn satisfiable_with_key(rows: &[Row], n_vars: usize, key: (u64, u64)) -> bool {
             // by the no-poisoning-on-disk invariant, so it is promoted
             // into the hot cache by the shared insert below.
             let persist_key =
-                crate::persist::enabled().then(|| crate::persist::canonical_rows_key(&work));
+                crate::persist::enabled().then(|| crate::persist::canonical_rows_key(work));
             if let Some(hit) = persist_key.and_then(crate::persist::sat_lookup) {
                 span.attr("tier", "persist");
                 span.attr("sat", hit);
@@ -189,7 +199,7 @@ fn satisfiable_with_key(rows: &[Row], n_vars: usize, key: (u64, u64)) -> bool {
             faults::begin_query();
             let lim = limits::current();
             let mut budget = lim.budget;
-            match solve(work, 0, &mut budget, &lim) {
+            match solve(std::mem::take(work), 0, &mut budget, &lim) {
                 Ok(v) => {
                     exact.attr("sat", v);
                     // Exact verdict: queue it for the durable tier under
@@ -259,7 +269,7 @@ pub(crate) fn exact_satisfiable(rows: &[Row], n_vars: usize) -> bool {
         work.push(r);
     }
     debug_assert!(work.iter().all(|r| r.c.len() == 1 + n_vars));
-    work.sort_by(|a, b| (a.kind as u8, &a.c).cmp(&(b.kind as u8, &b.c)));
+    work.sort_by(canonical_order);
     work.dedup();
     let lim = Limits::default();
     let mut budget = lim.budget;
@@ -267,31 +277,359 @@ pub(crate) fn exact_satisfiable(rows: &[Row], n_vars: usize) -> bool {
 }
 
 /// A 128-bit fingerprint of the row system: a commutative (wrapping-sum)
-/// combination of well-mixed per-row hashes, so logically identical
-/// queries fingerprint identically *regardless of row order* and no sorted
-/// copy is needed on the lookup path. Constant rows are skipped to keep
-/// the key canonical. Collision odds are negligible at the cache's
+/// combination of well-mixed per-row hashes ([`lane`]), so logically
+/// identical queries fingerprint identically *regardless of row order* and
+/// no sorted copy is needed on the lookup path. Constant rows are skipped
+/// to keep the key canonical. Collision odds are negligible at the cache's
 /// capacity.
+///
+/// This straight-line sum is the reference: the fused scan in
+/// [`rows_satisfiable`] and the incremental updates in [`Probe`] are
+/// checked against it.
 fn cache_key(rows: &[Row]) -> (u64, u64) {
-    let mut s1: u64 = 0;
-    let mut s2: u64 = 0x9e37_79b9_7f4a_7c15;
-    let mut n: u64 = 0;
+    let mut fp = Fingerprint::EMPTY;
     for r in rows {
-        if r.is_constant() {
-            continue;
+        if !r.is_constant() {
+            fp.add(scan_row(r).1);
         }
-        let mut h1: u64 = 0xcbf2_9ce4_8422_2325 ^ (r.kind as u64);
-        let mut h2: u64 = 0x517c_c1b7_2722_0a95 ^ (r.kind as u64).rotate_left(32);
-        for &x in &r.c {
-            h1 = (h1 ^ x as u64).wrapping_mul(0x100_0000_01b3);
-            h2 = (h2.rotate_left(29) ^ (x as u64).wrapping_mul(0xff51_afd7_ed55_8ccd))
-                .wrapping_mul(0xc4ce_b9fe_1a85_ec53);
-        }
-        s1 = s1.wrapping_add(splitmix(h1));
-        s2 = s2.wrapping_add(splitmix(h2 ^ 0x94d0_49bb_1331_11eb));
-        n += 1;
     }
-    (splitmix(s1 ^ n), splitmix(s2.wrapping_add(n)))
+    fp.key()
+}
+
+/// How one row enters a satisfiability query.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Lane {
+    /// A normalized non-constant row, with its fingerprint terms.
+    Term((u64, u64)),
+    /// A constant row that is true: it drops out of the query.
+    True,
+    /// A constant row that is false: the system is unsatisfiable.
+    False,
+    /// A non-constant row whose variable gcd is not 1.
+    Unnormalized,
+}
+
+/// Classifies a row and computes its fingerprint terms in one walk.
+fn lane(r: &Row) -> Lane {
+    let (g, terms) = scan_row(r);
+    match g {
+        0 if r.constant_truth() => Lane::True,
+        0 => Lane::False,
+        1 => Lane::Term(terms),
+        _ => Lane::Unnormalized,
+    }
+}
+
+/// One walk over a row: the gcd of its variable coefficients (0 for a
+/// constant row; the walk stops updating it once it reaches 1) and the
+/// row's two fingerprint terms, the values [`Fingerprint`] sums.
+fn scan_row(r: &Row) -> (i64, (u64, u64)) {
+    let kind = r.kind as u64;
+    let mut h1: u64 = 0xcbf2_9ce4_8422_2325 ^ kind;
+    let mut h2: u64 = 0x517c_c1b7_2722_0a95 ^ kind.rotate_left(32);
+    let mut mix = |x: i64| {
+        h1 = (h1 ^ x as u64).wrapping_mul(0x100_0000_01b3);
+        h2 = (h2.rotate_left(29) ^ (x as u64).wrapping_mul(0xff51_afd7_ed55_8ccd))
+            .wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    };
+    let mut it = r.c.iter();
+    mix(*it.next().expect("row has a constant column"));
+    let mut g = 0;
+    for &x in it {
+        if g != 1 {
+            g = num::gcd(g, x);
+        }
+        mix(x);
+    }
+    (g, (splitmix(h1), splitmix(h2 ^ 0x94d0_49bb_1331_11eb)))
+}
+
+/// Running fingerprint of a row multiset: wrapping sums of the rows'
+/// terms and their count. Adding and removing a row are O(1), in any
+/// order.
+#[derive(Clone, Copy, Debug)]
+struct Fingerprint {
+    s1: u64,
+    s2: u64,
+    n: u64,
+}
+
+impl Fingerprint {
+    const EMPTY: Fingerprint = Fingerprint {
+        s1: 0,
+        s2: 0x9e37_79b9_7f4a_7c15,
+        n: 0,
+    };
+
+    fn add(&mut self, (t1, t2): (u64, u64)) {
+        self.s1 = self.s1.wrapping_add(t1);
+        self.s2 = self.s2.wrapping_add(t2);
+        self.n += 1;
+    }
+
+    fn sub(&mut self, (t1, t2): (u64, u64)) {
+        self.s1 = self.s1.wrapping_sub(t1);
+        self.s2 = self.s2.wrapping_sub(t2);
+        self.n -= 1;
+    }
+
+    fn key(self) -> (u64, u64) {
+        (
+            splitmix(self.s1 ^ self.n),
+            splitmix(self.s2.wrapping_add(self.n)),
+        )
+    }
+}
+
+/// A scratch system for implication tests that change one row at a time.
+///
+/// Gist, hull and redundancy elimination ask "is `base ∧ row'` empty?"
+/// over and over, where `row'` replaces one row of a fixed system (or is
+/// added to it). Built once, the probe keeps what [`rows_satisfiable`]
+/// would recompute from every row on every query:
+///
+/// - each row's [`Lane`], and the running [`Fingerprint`] of the system,
+///   so a query's cache key is the sum minus the old row's terms plus the
+///   new row's — O(width) instead of O(rows × width);
+/// - whether tier 0 finds a conflict in the system (worked out on the
+///   first query that reaches tier 0). A conflict-free system stays
+///   conflict-free without any one row, so a query's tier 0 only checks
+///   the new row against the others ([`tier::tier0_against`]) instead of
+///   every pair;
+/// - its rows in canonical order (sorted on the first miss), so a miss
+///   merges the new row into a caller's reused `scratch` instead of
+///   cloning and sorting the system.
+///
+/// A false or unnormalized row routes a query through [`rows_satisfiable`]
+/// on the materialized system, and so does a system of true constants
+/// only; a system tier 0 already rejects runs the full tier 0 on it.
+/// Every query therefore asks the same question of the same cache and
+/// tiers, with the same spans and counters, as `rows_satisfiable` on the
+/// changed system — only its cost differs.
+///
+/// Queries take `&self`; the `scratch` buffer is the only mutable state,
+/// so workers can share one probe and keep a buffer each.
+#[derive(Debug)]
+pub(crate) struct Probe {
+    rows: Vec<Row>,
+    lanes: Vec<Lane>,
+    n_vars: usize,
+    /// Fingerprint of the rows with [`Lane::Term`].
+    fp: Fingerprint,
+    /// Rows with [`Lane::False`] or [`Lane::Unnormalized`].
+    irregular: usize,
+    /// Tier 0 finds a conflict among `rows`; unset until a query needs it.
+    conflict: OnceLock<bool>,
+    /// Indices of the [`Lane::Term`] rows in canonical order; unset until
+    /// a miss needs them.
+    order: OnceLock<Vec<usize>>,
+}
+
+impl Probe {
+    /// Builds the probe over `rows`, each of `1 + n_vars` columns.
+    pub(crate) fn new(rows: Vec<Row>, n_vars: usize) -> Probe {
+        debug_assert!(rows.iter().all(|r| r.c.len() == 1 + n_vars));
+        let lanes: Vec<Lane> = rows.iter().map(lane).collect();
+        let mut fp = Fingerprint::EMPTY;
+        let mut irregular = 0;
+        for l in &lanes {
+            match *l {
+                Lane::Term(t) => fp.add(t),
+                Lane::True => {}
+                Lane::False | Lane::Unnormalized => irregular += 1,
+            }
+        }
+        Probe {
+            rows,
+            lanes,
+            n_vars,
+            fp,
+            irregular,
+            conflict: OnceLock::new(),
+            order: OnceLock::new(),
+        }
+    }
+
+    /// The current rows, in the order they were given.
+    pub(crate) fn rows(&self) -> &[Row] {
+        &self.rows
+    }
+
+    pub(crate) fn into_rows(self) -> Vec<Row> {
+        self.rows
+    }
+
+    /// Row width: `1 + n_vars` columns.
+    pub(crate) fn width(&self) -> usize {
+        1 + self.n_vars
+    }
+
+    /// Removes the row at `slot` for good; later rows shift down one slot.
+    pub(crate) fn remove(&mut self, slot: usize) {
+        self.rows.remove(slot);
+        match self.lanes.remove(slot) {
+            Lane::Term(t) => self.fp.sub(t),
+            Lane::True => {}
+            Lane::False | Lane::Unnormalized => self.irregular -= 1,
+        }
+        if let Some(order) = self.order.get_mut() {
+            order.retain(|&i| i != slot);
+            for i in order.iter_mut() {
+                if *i > slot {
+                    *i -= 1;
+                }
+            }
+        }
+        if self.conflict.get() == Some(&true) {
+            self.conflict = OnceLock::new();
+        }
+    }
+
+    /// Is the row at `slot` implied by the other rows? An inequality is
+    /// implied when swapping in its strict negation leaves no integer
+    /// point; an equality when neither strict side does. A row whose
+    /// negation would overflow is reported as not implied (sound: dropping
+    /// a row needs a proof).
+    pub(crate) fn implied(&self, slot: usize, scratch: &mut Vec<Row>) -> bool {
+        let row = &self.rows[slot];
+        match row.kind {
+            ConstraintKind::Geq => negate_geq(&row.c).is_some_and(|neg| {
+                !self.satisfiable(Some(slot), &Row::new(ConstraintKind::Geq, neg), scratch)
+            }),
+            ConstraintKind::Eq => {
+                let strict_lower = row.c[0].checked_sub(1).map(|c0| {
+                    let mut c = row.c.clone();
+                    c[0] = c0;
+                    c
+                });
+                match (strict_lower, negate_geq(&row.c)) {
+                    (Some(lower), Some(upper)) => [lower, upper].into_iter().all(|c| {
+                        !self.satisfiable(Some(slot), &Row::new(ConstraintKind::Geq, c), scratch)
+                    }),
+                    _ => false,
+                }
+            }
+        }
+    }
+
+    /// Is the system satisfiable with the row at `slot` replaced by `row`
+    /// (with `row` added, for `None`)? The same verdict, cache traffic,
+    /// spans and counters as [`rows_satisfiable`] on that system.
+    pub(crate) fn satisfiable(
+        &self,
+        slot: Option<usize>,
+        row: &Row,
+        scratch: &mut Vec<Row>,
+    ) -> bool {
+        debug_assert_eq!(row.c.len(), self.width());
+        let Some(key) = self.key(slot, row) else {
+            self.materialize(slot, row, scratch);
+            return rows_satisfiable(scratch, self.n_vars);
+        };
+        debug_assert_eq!(key, cache_key(&self.materialized(slot, row)));
+        decide(
+            self.rows.len() + slot.is_none() as usize,
+            self.n_vars,
+            key,
+            || self.tier0(slot, row) == Verdict::Unsat,
+            |work| self.canonical(slot, row, work),
+            scratch,
+        )
+    }
+
+    /// Tier 0 on the changed system: the new row against the others, or
+    /// every pair when the system already has a conflict.
+    fn tier0(&self, slot: Option<usize>, row: &Row) -> Verdict {
+        if *self
+            .conflict
+            .get_or_init(|| tier::tier0(&self.rows) == Verdict::Unsat)
+        {
+            return tier::tier0(&self.materialized(slot, row));
+        }
+        let others = self
+            .rows
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| Some(i) != slot);
+        let v = tier::tier0_against(others.map(|(_, r)| r), row);
+        debug_assert_eq!(v, tier::tier0(&self.materialized(slot, row)));
+        v
+    }
+
+    /// The changed system's cache key, or `None` when a row of it is false
+    /// or not normalized, or no row is left once true constants drop out:
+    /// `rows_satisfiable` answers those before it reaches the cache.
+    fn key(&self, slot: Option<usize>, row: &Row) -> Option<(u64, u64)> {
+        let mut fp = self.fp;
+        let mut irregular = self.irregular;
+        match slot.map(|i| self.lanes[i]) {
+            Some(Lane::Term(t)) => fp.sub(t),
+            Some(Lane::False | Lane::Unnormalized) => irregular -= 1,
+            Some(Lane::True) | None => {}
+        }
+        match lane(row) {
+            Lane::Term(t) => fp.add(t),
+            Lane::True => {}
+            Lane::False | Lane::Unnormalized => return None,
+        }
+        (irregular == 0 && fp.n > 0).then(|| fp.key())
+    }
+
+    /// Fills `work` with the changed system's non-constant rows in
+    /// canonical order without duplicates: a merge of the ordered rows
+    /// (minus `slot`) with `row`.
+    fn canonical(&self, slot: Option<usize>, row: &Row, work: &mut Vec<Row>) {
+        let mut push = |r: &Row| {
+            if work.last() != Some(r) {
+                work.push(r.clone());
+            }
+        };
+        let mut pending = (!row.is_constant()).then_some(row);
+        let order = self.order.get_or_init(|| {
+            let mut order: Vec<usize> = (0..self.rows.len())
+                .filter(|&i| matches!(self.lanes[i], Lane::Term(_)))
+                .collect();
+            order.sort_by(|&a, &b| canonical_order(&self.rows[a], &self.rows[b]));
+            order
+        });
+        for &i in order {
+            if Some(i) == slot {
+                continue;
+            }
+            let r = &self.rows[i];
+            if let Some(p) = pending.filter(|p| canonical_order(p, r).is_le()) {
+                push(p);
+                pending = None;
+            }
+            push(r);
+        }
+        if let Some(p) = pending {
+            push(p);
+        }
+        debug_assert_eq!(*work, {
+            let mut all = self.materialized(slot, row);
+            all.retain(|r| !r.is_constant());
+            all.sort_by(canonical_order);
+            all.dedup();
+            all
+        });
+    }
+
+    /// The changed system, written into `out`.
+    fn materialize(&self, slot: Option<usize>, row: &Row, out: &mut Vec<Row>) {
+        out.clear();
+        out.extend_from_slice(&self.rows);
+        match slot {
+            Some(i) => out[i] = row.clone(),
+            None => out.push(row.clone()),
+        }
+    }
+
+    fn materialized(&self, slot: Option<usize>, row: &Row) -> Vec<Row> {
+        let mut out = Vec::new();
+        self.materialize(slot, row, &mut out);
+        out
+    }
 }
 
 /// Final avalanche (splitmix64), so structured coefficient patterns do not
@@ -715,10 +1053,10 @@ pub(crate) fn try_exact_eliminate(rows: &[Row], col: usize) -> Option<Vec<Row>> 
 /// The strict negation of a `Geq` row, `¬(w·x + c ≥ 0) = -w·x - c - 1 ≥ 0`,
 /// or `None` when negation itself would overflow (callers then treat the
 /// implication test as undecided, which is always sound).
-pub(crate) fn negate_geq(c: &[i64]) -> Option<Vec<i64>> {
-    let mut neg: Vec<i64> = Vec::with_capacity(c.len());
-    for &x in c {
-        neg.push(x.checked_neg()?);
+pub(crate) fn negate_geq(c: &[i64]) -> Option<Coeffs> {
+    let mut neg = Coeffs::from_slice(c);
+    for x in neg.iter_mut() {
+        *x = x.checked_neg()?;
     }
     neg[0] = neg[0].checked_sub(1)?;
     Some(neg)
@@ -943,5 +1281,133 @@ mod tests {
         // equality mentioning col → None
         let rows = vec![eq(&[0, 1, -2])];
         assert!(try_exact_eliminate(&rows, 1).is_none());
+    }
+}
+
+/// Differential suite for [`Probe`]: on random systems with one row
+/// swapped or added, and after random removals, a probe query must answer
+/// like [`rows_satisfiable`] on the materialized system, with the key
+/// [`cache_key`] gives it.
+#[cfg(test)]
+mod probe_props {
+    use super::*;
+    use crate::tier::differential::rows_strategy;
+    use proptest::prelude::*;
+
+    /// Draws of one row shape: `(shape, index, constant)`.
+    type Pick = (u8, usize, i64);
+
+    fn pick() -> impl Strategy<Value = Pick> {
+        (0u8..6, 0usize..16, -9i64..=9)
+    }
+
+    /// A row in one of the shapes the fast path must route or count
+    /// exactly as `rows_satisfiable` does: true and false constants, a
+    /// non-normalized row, a duplicate of a row of `rows`, that row's
+    /// strict negation (a tier-0 conflict), or `fresh`.
+    fn shaped(rows: &[Row], fresh: &[Row], (shape, k, c0): Pick) -> Row {
+        let other = (!rows.is_empty()).then(|| &rows[k % rows.len()]);
+        match (shape, other) {
+            (0, _) => Row::new(ConstraintKind::Geq, vec![c0.abs(), 0, 0, 0]),
+            (1, _) if c0 % 2 == 0 => Row::new(ConstraintKind::Geq, vec![-c0.abs() - 1, 0, 0, 0]),
+            (1, _) => Row::new(ConstraintKind::Eq, vec![c0, 0, 0, 0]),
+            (2, Some(r)) => Row::new(r.kind, r.c.iter().map(|&x| 2 * x).collect::<Vec<_>>()),
+            (2, None) => Row::new(ConstraintKind::Geq, vec![c0, 2, 4, 0]),
+            (3, Some(r)) => r.clone(),
+            (4, Some(r)) => Row::new(
+                ConstraintKind::Geq,
+                negate_geq(&r.c).expect("small coefficients"),
+            ),
+            _ => fresh
+                .get(k % fresh.len().max(1))
+                .cloned()
+                .unwrap_or_else(|| Row::new(ConstraintKind::Geq, vec![c0, 1, -1, 0])),
+        }
+    }
+
+    /// The system with `row` in `slot` (added, for `None`).
+    fn changed(rows: &[Row], slot: Option<usize>, row: &Row) -> Vec<Row> {
+        let mut m = rows.to_vec();
+        match slot {
+            Some(i) => m[i] = row.clone(),
+            None => m.push(row.clone()),
+        }
+        m
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(384))]
+
+        #[test]
+        fn probe_matches_rows_satisfiable(
+            rows in rows_strategy(),
+            extras in prop::collection::vec(pick(), 0..4),
+            fresh in rows_strategy(),
+            new in pick(),
+            slot in 0usize..16,
+            removals in prop::collection::vec(0usize..16, 0..6),
+        ) {
+            let mut sys = rows.clone();
+            for &p in &extras {
+                let r = shaped(&rows, &fresh, p);
+                sys.insert(p.1 % (sys.len() + 1), r);
+            }
+            let row = shaped(&sys, &fresh, new);
+            let mut probe = Probe::new(sys.clone(), 3);
+            let mut scratch = Vec::new();
+            let mut removals = removals.into_iter();
+            loop {
+                prop_assert_eq!(probe.rows(), &sys[..]);
+                if let Some(&conflict) = probe.conflict.get() {
+                    prop_assert_eq!(conflict, tier::tier0(&sys) == Verdict::Unsat);
+                }
+                let swap = (!sys.is_empty()).then(|| slot % sys.len());
+                for at in [swap, None] {
+                    let m = changed(&sys, at, &row);
+                    // The probe answers first, so its verdict is its own
+                    // and not a cache hit left by `rows_satisfiable`.
+                    let got = probe.satisfiable(at, &row, &mut scratch);
+                    let exact = exact_satisfiable(&m, 3);
+                    prop_assert_eq!(got, exact, "probe on {:?}", m);
+                    prop_assert_eq!(rows_satisfiable(&m, 3), exact, "pipeline on {:?}", m);
+                    // The fast path is left exactly when a row of the
+                    // changed system is false or not normalized, or no row
+                    // is left once true constants drop out.
+                    let irregular = |r: &Row| matches!(lane(r), Lane::False | Lane::Unnormalized);
+                    let fallback = m.iter().any(irregular) || m.iter().all(|r| r.is_constant());
+                    match probe.key(at, &row) {
+                        Some(key) => {
+                            prop_assert!(!fallback, "fast path on {:?}", m);
+                            prop_assert_eq!(key, cache_key(&m), "key of {:?}", m);
+                        }
+                        None => prop_assert!(fallback, "fallback on {:?}", m),
+                    }
+                }
+                let Some(r) = removals.next().filter(|_| !sys.is_empty()) else {
+                    break;
+                };
+                probe.remove(r % sys.len());
+                sys.remove(r % sys.len());
+            }
+        }
+
+        #[test]
+        fn one_row_tier0_matches_tier0(
+            rows in rows_strategy(),
+            fresh in rows_strategy(),
+            new in pick(),
+        ) {
+            // Fresh rows and negations of base rows only: `tier0` requires
+            // normalized, non-constant rows.
+            let shape = if new.0 < 3 { 4 } else { 5 };
+            let row = shaped(&rows, &fresh, (shape, new.1, new.2));
+            if tier::tier0(&rows) == Verdict::Unknown {
+                prop_assert_eq!(
+                    tier::tier0_against(rows.iter(), &row),
+                    tier::tier0(&changed(&rows, None, &row)),
+                    "base {:?} row {:?}", rows, row
+                );
+            }
+        }
     }
 }

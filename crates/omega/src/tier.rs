@@ -97,11 +97,16 @@ fn same_term(a: &Row, sa: i64, b: &Row, sb: i64) -> bool {
 }
 
 fn tier0_pairwise(rows: &[Row]) -> Verdict {
+    debug_assert!(rows.len() <= PAIRWISE_LIMIT);
+    let mut signs = [None; PAIRWISE_LIMIT];
+    for (s, r) in signs.iter_mut().zip(rows) {
+        *s = term_sign(r);
+    }
     for (i, a) in rows.iter().enumerate() {
-        let Some(sa) = term_sign(a) else { continue };
+        let Some(sa) = signs[i] else { continue };
         let (mut lo, mut hi) = term_bounds(a, sa);
-        for b in &rows[i + 1..] {
-            let Some(sb) = term_sign(b) else { continue };
+        for (b, &sb) in rows[i + 1..].iter().zip(&signs[i + 1..]) {
+            let Some(sb) = sb else { continue };
             if !same_term(a, sa, b, sb) {
                 continue;
             }
@@ -111,6 +116,32 @@ fn tier0_pairwise(rows: &[Row]) -> Verdict {
             if lo > hi {
                 return Verdict::Unsat;
             }
+        }
+    }
+    Verdict::Unknown
+}
+
+/// Tier 0 for `base ∧ row` when `base` alone is known to be conflict-free:
+/// only `row` is checked against the rows of its term.
+///
+/// Exact, not a filter: every row bounds its term to a closed interval,
+/// and closed intervals on a line with no common point always include two
+/// that are disjoint (Helly's theorem in one dimension). A conflict-free
+/// base has no such pair, so `tier0(base ∧ row)` is `Unsat` exactly when
+/// `row`'s interval misses one of the base's intervals for the same term.
+pub(crate) fn tier0_against<'a>(base: impl Iterator<Item = &'a Row>, row: &Row) -> Verdict {
+    let Some(sr) = term_sign(row) else {
+        return Verdict::Unknown;
+    };
+    let (lo, hi) = term_bounds(row, sr);
+    for b in base {
+        let Some(sb) = term_sign(b) else { continue };
+        if !same_term(row, sr, b, sb) {
+            continue;
+        }
+        let (bl, bh) = term_bounds(b, sb);
+        if lo.max(bl) > hi.min(bh) {
+            return Verdict::Unsat;
         }
     }
     Verdict::Unknown
@@ -159,12 +190,41 @@ fn tier0_hashed(rows: &[Row]) -> Verdict {
 /// candidate points inside the box; any point satisfying every row proves
 /// `Sat` outright (all variables are existential).
 pub(crate) fn tier1(rows: &[Row], ncols: usize) -> Verdict {
-    let mut lo = vec![None::<i128>; ncols];
-    let mut hi = vec![None::<i128>; ncols];
+    // Scanning systems are narrow: keep the interval box and the witness
+    // point on the stack, so a tier-1 query allocates nothing.
+    if ncols <= STACK_COLS {
+        let mut lo = [None; STACK_COLS];
+        let mut hi = [None; STACK_COLS];
+        let mut point = [0; STACK_COLS];
+        tier1_in(
+            rows,
+            &mut lo[..ncols],
+            &mut hi[..ncols],
+            &mut point[..ncols],
+        )
+    } else {
+        tier1_in(
+            rows,
+            &mut vec![None; ncols],
+            &mut vec![None; ncols],
+            &mut vec![0; ncols],
+        )
+    }
+}
+
+/// Widest system whose tier-1 buffers live on the stack.
+const STACK_COLS: usize = 32;
+
+fn tier1_in(
+    rows: &[Row],
+    lo: &mut [Option<i128>],
+    hi: &mut [Option<i128>],
+    point: &mut [i128],
+) -> Verdict {
     for _ in 0..MAX_ROUNDS {
         let mut changed = false;
         for r in rows {
-            match tighten(r, &mut lo, &mut hi) {
+            match tighten(r, lo, hi) {
                 Tighten::Contradiction => return Verdict::Unsat,
                 Tighten::Changed => changed = true,
                 Tighten::Fixed => {}
@@ -174,7 +234,7 @@ pub(crate) fn tier1(rows: &[Row], ncols: usize) -> Verdict {
             break;
         }
     }
-    if witness(rows, &lo, &hi) {
+    if witness(rows, lo, hi, point) {
         return Verdict::Sat;
     }
     Verdict::Unknown
@@ -189,15 +249,32 @@ enum Tighten {
 /// One bounds-consistency step: for every variable in `r`, derive the bound
 /// implied by the extremal values the remaining terms can take.
 fn tighten(r: &Row, lo: &mut [Option<i128>], hi: &mut [Option<i128>]) -> Tighten {
-    let mut changed = false;
-    for j in 1..r.c.len() {
-        let a = r.c[j];
-        if a == 0 {
-            continue;
+    // Rows are sparse: collect the non-zero variable columns once, so the
+    // rest sums below walk those instead of every column.
+    let mut buf = [0u32; STACK_COLS];
+    let spill: Vec<u32>;
+    let nz: &[u32] = if r.c.len() <= STACK_COLS {
+        let mut n = 0;
+        for (j, &a) in r.c.iter().enumerate().skip(1) {
+            if a != 0 {
+                buf[n] = j as u32;
+                n += 1;
+            }
         }
+        &buf[..n]
+    } else {
+        spill = (1..r.c.len() as u32)
+            .filter(|&j| r.c[j as usize] != 0)
+            .collect();
+        &spill
+    };
+    let mut changed = false;
+    for &j in nz {
+        let j = j as usize;
+        let a = r.c[j];
         // w·x + c ≥ 0  ⇒  a·xⱼ ≥ -c - max(Σ_{k≠j} aₖ·xₖ); for equalities the
         // mirrored bound via the minimum of the rest also holds.
-        if let Some(rest_max) = rest_extreme(r, j, lo, hi, true) {
+        if let Some(rest_max) = rest_extreme(r, nz, j, lo, hi, true) {
             let rhs = -(r.c[0] as i128) - rest_max;
             let new = if a > 0 {
                 Bound::Lower(div_ceil(rhs, a as i128))
@@ -211,7 +288,7 @@ fn tighten(r: &Row, lo: &mut [Option<i128>], hi: &mut [Option<i128>]) -> Tighten
             }
         }
         if r.kind == ConstraintKind::Eq {
-            if let Some(rest_min) = rest_extreme(r, j, lo, hi, false) {
+            if let Some(rest_min) = rest_extreme(r, nz, j, lo, hi, false) {
                 let rhs = -(r.c[0] as i128) - rest_min;
                 let new = if a > 0 {
                     Bound::Upper(div_floor(rhs, a as i128))
@@ -269,22 +346,24 @@ fn apply(b: Bound, lo: &mut Option<i128>, hi: &mut Option<i128>) -> Applied {
     }
 }
 
-/// Extremal value of `Σ_{k≠j} aₖ·xₖ` under the current intervals — the
-/// maximum when `want_max`, otherwise the minimum. `None` when some needed
-/// bound is missing.
+/// Extremal value of `Σ_{k≠j} aₖ·xₖ` over the row's non-zero columns `nz`
+/// under the current intervals — the maximum when `want_max`, otherwise
+/// the minimum. `None` when some needed bound is missing.
 fn rest_extreme(
     r: &Row,
+    nz: &[u32],
     j: usize,
     lo: &[Option<i128>],
     hi: &[Option<i128>],
     want_max: bool,
 ) -> Option<i128> {
     let mut acc: i128 = 0;
-    for k in 1..r.c.len() {
-        let a = r.c[k];
-        if k == j || a == 0 {
+    for &k in nz {
+        let k = k as usize;
+        if k == j {
             continue;
         }
+        let a = r.c[k];
         let pick_hi = (a > 0) == want_max;
         let v = if pick_hi { hi[k]? } else { lo[k]? };
         acc = acc.checked_add((a as i128).checked_mul(v)?)?;
@@ -292,27 +371,26 @@ fn rest_extreme(
     Some(acc)
 }
 
-/// Tries a few concrete points inside the interval box; any one of them
-/// satisfying every row proves the system satisfiable.
-fn witness(rows: &[Row], lo: &[Option<i128>], hi: &[Option<i128>]) -> bool {
+/// Tries a few concrete points inside the interval box (built in `point`);
+/// any one of them satisfying every row proves the system satisfiable.
+fn witness(rows: &[Row], lo: &[Option<i128>], hi: &[Option<i128>], point: &mut [i128]) -> bool {
     // Candidate 1: zero clamped into each interval — the common case where
     // the polyhedron contains (a translate of) the origin.
     // Candidate 2: each variable at its lower bound (upper when only an
     // upper bound exists) — catches boxes far from the origin.
-    let clamped: Vec<i128> = lo
-        .iter()
-        .zip(hi)
-        .map(|(&l, &h)| 0.clamp(l.unwrap_or(i128::MIN), h.unwrap_or(i128::MAX)))
-        .collect();
-    if satisfies_all(rows, &clamped) {
+    for ((p, &l), &h) in point.iter_mut().zip(lo).zip(hi) {
+        *p = 0.clamp(l.unwrap_or(i128::MIN), h.unwrap_or(i128::MAX));
+    }
+    if satisfies_all(rows, point) {
         return true;
     }
-    let corner: Vec<i128> = lo
-        .iter()
-        .zip(hi)
-        .map(|(&l, &h)| l.or(h).unwrap_or(0))
-        .collect();
-    corner != clamped && satisfies_all(rows, &corner)
+    let mut moved = false;
+    for ((p, &l), &h) in point.iter_mut().zip(lo).zip(hi) {
+        let corner = l.or(h).unwrap_or(0);
+        moved |= corner != *p;
+        *p = corner;
+    }
+    moved && satisfies_all(rows, point)
 }
 
 fn satisfies_all(rows: &[Row], point: &[i128]) -> bool {
@@ -338,6 +416,9 @@ fn satisfies_all(rows: &[Row], point: &[i128]) -> bool {
 
 fn div_floor(a: i128, b: i128) -> i128 {
     debug_assert!(b > 0);
+    if b == 1 {
+        return a; // the common unit coefficient: skip the i128 division
+    }
     let q = a / b;
     if a % b != 0 && a < 0 {
         q - 1
@@ -348,6 +429,9 @@ fn div_floor(a: i128, b: i128) -> i128 {
 
 fn div_ceil(a: i128, b: i128) -> i128 {
     debug_assert!(b > 0);
+    if b == 1 {
+        return a; // the common unit coefficient: skip the i128 division
+    }
     let q = a / b;
     if a % b != 0 && a > 0 {
         q + 1
@@ -362,7 +446,7 @@ fn div_ceil(a: i128, b: i128) -> i128 {
 /// filters, not decision procedures — but a definite answer may never
 /// disagree with the oracle.
 #[cfg(test)]
-mod differential {
+pub(crate) mod differential {
     use super::*;
     use proptest::prelude::*;
 
@@ -370,7 +454,7 @@ mod differential {
     /// small so the exact solve is fast at 512 cases per property; the
     /// shapes still exercise negated pairs, equality pinning, transitive
     /// chains, and integer-only-infeasible rows.
-    fn rows_strategy() -> impl Strategy<Value = Vec<Row>> {
+    pub(crate) fn rows_strategy() -> impl Strategy<Value = Vec<Row>> {
         let row = (
             prop::bool::weighted(0.7),
             -9i64..=9,

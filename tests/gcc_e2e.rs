@@ -8,9 +8,17 @@ use bench_harness::{generate, statements_of, Tool};
 use codegenplus::Generated;
 use std::io::Write;
 use std::process::Command;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 fn gcc_trace(g: &Generated, params: &[i64]) -> Vec<(usize, Vec<i64>)> {
-    let dir = std::env::temp_dir().join(format!("cgplus-e2e-{}", std::process::id()));
+    // One directory per call: the test runner runs tests in parallel, and
+    // each call removes its directory when done.
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "cgplus-e2e-{}-{}",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
     std::fs::create_dir_all(&dir).unwrap();
     let c_path = dir.join("trace.c");
     let bin = dir.join("trace");
